@@ -16,13 +16,12 @@ J. Niño-Mora, *Stochastic Scheduling* (Encyclopedia of Optimization, 2001):
   :mod:`repro.mdp`, :mod:`repro.sim`, :mod:`repro.utils`.
 """
 
-# The version participates in the sample store's content address
-# (repro/experiments/store.py): bump it whenever any scenario's simulate
-# output changes, so stale cached rows are never served.  1.1.0: the
-# sweep subsystem, and E12 gained the n_rhos/top_rho grid descriptors.
-# 1.2.0: the bench-trajectory subsystem and the profiled flat engines
-# (all outputs bit-identical to 1.1.0).
-__version__ = "1.3.0"
+# The single source of the package version: pyproject.toml reads it
+# through [tool.setuptools.dynamic].  The sample store is keyed on each
+# scenario's *pack* version (repro/experiments/packs), so bump a pack's
+# version when its simulate output changes; this package version keys
+# only scenarios registered outside any pack.
+__version__ = "1.6.0"
 
 from repro import batch, core, distributions, markov, mdp, sim, utils  # noqa: F401
 

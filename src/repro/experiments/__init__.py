@@ -13,8 +13,6 @@ discoverable objects:
   their vectorized kernels.  The built-in catalogue (E1–E19, A1–A3)
   ships as five family packs; third-party packs register through the
   ``repro.scenario_packs`` entry-point group without touching core.
-* :mod:`repro.experiments.scenarios` — compatibility shim re-exporting
-  the built-in packs' simulate functions under their historical names.
 * :mod:`repro.experiments.runner` — batched replications with multiprocess
   fan-out over spawned seed streams and vectorised aggregation; results
   are bit-identical for every worker count.
@@ -45,6 +43,11 @@ replace the fixed replication count with the sequential controller in
 :mod:`repro.sim.sequential`, which grows the count until every metric's
 confidence interval is tight enough and records the achieved ``n``.
 
+Run settings: the eight settings every runner entry point and CLI shares
+(``replications``, ``seed``, ``workers``, ``backend``, ``level``,
+``target_precision``, ``min_reps``, ``max_reps``) are declared, defaulted
+and validated once, by :class:`~repro.experiments.config.RunConfig`.
+
 Typical use::
 
     from repro.experiments import get_scenario, run_scenario
@@ -54,13 +57,8 @@ Typical use::
     print(result.metrics["fifo_ratio"].mean)
 """
 
-from repro.experiments.backends import (
-    BACKENDS,
-    MissingKernelError,
-    has_kernel,
-    kernel_ids,
-    resolve_backend,
-)
+from repro.experiments.backends import BACKENDS, MissingKernelError, resolve_backend
+from repro.experiments.config import RunConfig, add_run_flags
 from repro.experiments.packs import (
     PackError,
     ScenarioPack,
@@ -103,6 +101,7 @@ from repro.experiments.sweeps import (
     sweep_run_config,
 )
 from repro.sim.sequential import PrecisionTarget
+from repro.sim.vectorized import has_kernel, kernel_ids
 
 __all__ = [
     "Scenario",
@@ -124,6 +123,8 @@ __all__ = [
     "has_kernel",
     "kernel_ids",
     "resolve_backend",
+    "RunConfig",
+    "add_run_flags",
     "MetricSummary",
     "ScenarioResult",
     "run_scenario",

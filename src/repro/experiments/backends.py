@@ -38,11 +38,9 @@ and batched fleet rollouts); ``cached`` kernels hoist the
 replication-invariant part (for fully deterministic scenarios like
 E5/E18 that is the entire replication).
 
-The kernel *implementations* used to live in this module; they now ship
-with their scenarios in the built-in packs under
-:mod:`repro.experiments.packs`.  The historical ``batch_*`` names (and
-the private helpers a few kernels resolve at call time) are re-exported
-below so existing imports keep working.
+The kernel *implementations* ship with their scenarios in the built-in
+packs under :mod:`repro.experiments.packs`; the kernel registry itself is
+:mod:`repro.sim.vectorized`.
 """
 
 from __future__ import annotations
@@ -51,38 +49,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.experiments.packs._shared import _crn_batches, _float_rows
-from repro.experiments.packs.bandits import (
-    _policy_values_batch,
-    _sequential_argmax,
-    batch_a1,
-    batch_e7,
-    batch_e9,
-)
-from repro.experiments.packs.flowshop import (
-    _broadcast_deterministic,
-    _uniform_rates,
-    batch_e1,
-    batch_e2,
-    batch_e3,
-    batch_e4,
-    batch_e5,
-    batch_e6,
-    batch_e16,
-    batch_e17,
-    batch_e18,
-)
-from repro.experiments.packs.polling import batch_e15
-from repro.experiments.packs.queueing import (
-    batch_a2,
-    batch_a3,
-    batch_e10,
-    batch_e11,
-    batch_e12,
-    batch_e13,
-    batch_e14,
-)
-from repro.experiments.packs.restless import batch_e8, batch_e19
 from repro.sim.vectorized import get_kernel, has_kernel, kernel_ids
 
 __all__ = [
@@ -90,9 +56,6 @@ __all__ = [
     "MissingKernelError",
     "resolve_backend",
     "simulate_scenario_batch",
-    "kernel_ids",
-    "has_kernel",
-    "get_kernel",
 ]
 
 Params = Mapping[str, Any]

@@ -36,7 +36,8 @@ import ast
 import sys
 from typing import Any, Sequence
 
-from repro.experiments.backends import MissingKernelError
+from repro.experiments.backends import MissingKernelError, resolve_backend
+from repro.experiments.config import CliError, RunConfig, add_run_flags
 from repro.experiments.registry import (
     ParamValidationError,
     get_scenario,
@@ -46,13 +47,8 @@ from repro.experiments.registry import (
 )
 from repro.experiments.report import generate_markdown, results_to_json
 from repro.experiments.runner import run_scenarios
-from repro.sim.sequential import DEFAULT_MAX_REPS, DEFAULT_MIN_REPS
 
-__all__ = ["main", "build_parser", "CliError"]
-
-
-class CliError(Exception):
-    """A user-facing CLI error (printed without a traceback, exit 2)."""
+__all__ = ["main", "build_parser"]
 
 
 def _literal(raw: str) -> Any:
@@ -102,53 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="scenario ids (e.g. E1 E2), or 'all'",
     )
-    run.add_argument(
-        "--replications", type=int, default=10, help="replications per scenario"
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (0 = all cores); results are identical "
-        "for every worker count",
-    )
-    run.add_argument("--seed", type=int, default=0, help="root seed")
-    run.add_argument(
-        "--backend",
-        choices=["event", "vectorized", "auto"],
-        default="auto",
-        help="simulation backend: the per-replication event engine, the "
-        "batched vectorized kernels (an error for scenarios without a "
-        "kernel), or auto (kernel when one exists, event otherwise); "
-        "backends are bit-for-bit equivalent, so this only changes speed",
-    )
-    run.add_argument(
-        "--level", type=float, default=0.95, help="confidence level"
-    )
-    run.add_argument(
-        "--target-precision",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="adaptive mode: grow the replication count until every "
-        "metric's relative CI half-width is <= REL (a deterministic "
-        "metric counts as met); --replications is ignored, the achieved "
-        "n is reported per scenario",
-    )
-    run.add_argument(
-        "--min-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: first evaluation point (default "
-        f"{DEFAULT_MIN_REPS}); requires --target-precision",
-    )
-    run.add_argument(
-        "--max-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: hard replication cap (default "
-        f"{DEFAULT_MAX_REPS}); requires --target-precision",
-    )
+    add_run_flags(run)
     run.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -234,38 +184,10 @@ def _resolve_ids(requested: Sequence[str]) -> list[str]:
         raise CliError(exc.args[0]) from exc
 
 
-def _validate_run_args(args: argparse.Namespace) -> None:
-    """Validate the runner flags shared by ``repro-experiments run`` and
-    ``repro-sweep run`` (replications, level, and the adaptive-precision
-    flag combinations); raises :class:`CliError` on misuse."""
-    if args.replications < 1:
-        raise CliError("--replications must be at least 1")
-    if not 0 < args.level < 1:
-        raise CliError(
-            f"--level must be strictly between 0 and 1 (got {args.level}); "
-            f"e.g. 0.95 for a 95% confidence interval"
-        )
-    if args.target_precision is not None and not args.target_precision > 0:
-        raise CliError(
-            f"--target-precision must be > 0 (got {args.target_precision})"
-        )
-    if args.target_precision is None:
-        for flag, value in (("--min-reps", args.min_reps), ("--max-reps", args.max_reps)):
-            if value is not None:
-                raise CliError(f"{flag} requires --target-precision")
-    else:
-        if args.min_reps is not None and args.min_reps < 2:
-            raise CliError("--min-reps must be at least 2")
-        lo = args.min_reps if args.min_reps is not None else DEFAULT_MIN_REPS
-        hi = args.max_reps if args.max_reps is not None else DEFAULT_MAX_REPS
-        if hi < lo:
-            raise CliError(f"--max-reps ({hi}) must be >= --min-reps ({lo})")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     ids = _resolve_ids(args.scenarios)
     params = dict(args.param)
-    _validate_run_args(args)
+    run = RunConfig.from_args(args)
     cache_dir = None if args.no_cache else args.cache_dir
     # every override must be meaningful for at least one selected scenario
     known = {k for sid in ids for k in get_scenario(sid).defaults}
@@ -277,9 +199,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     # an explicit vectorized request must fail fast, before any scenario
     # burns simulation time whose results would then be discarded
-    if args.backend == "vectorized":
-        from repro.experiments.backends import resolve_backend
-
+    if run.backend == "vectorized":
         try:
             for sid in ids:
                 resolve_backend(sid, "vectorized")
@@ -289,17 +209,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for sid in ids:
         try:
             res = run_scenarios(
-                [sid],
-                replications=args.replications,
-                seed=args.seed,
-                workers=args.workers,
-                params=params,
-                level=args.level,
-                backend=args.backend,
-                target_precision=args.target_precision,
-                min_reps=args.min_reps,
-                max_reps=args.max_reps,
-                cache_dir=cache_dir,
+                [sid], params=params, cache_dir=cache_dir, **run.to_dict()
             )[0]
         except (MissingKernelError, ParamValidationError) as exc:
             raise CliError(str(exc)) from exc
@@ -326,22 +236,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
 
     config = {
-        "replications": args.replications,
-        "seed": args.seed,
-        "workers": args.workers,
+        "replications": run.replications,
+        "seed": run.seed,
+        "workers": run.workers,
         # what the user asked for; each result entry additionally records
         # the backend that actually ran (`"backend"` in the result dict),
         # and the summary below makes an `auto` run reproducible from the
         # report alone
-        "backend_requested": args.backend,
+        "backend_requested": run.backend,
         "resolved_backends": {res.scenario_id: res.backend for res in results},
-        "level": args.level,
+        "level": run.level,
         "params": {k: repr(v) for k, v in params.items()},
         # adaptive mode: each result entry records the achieved n
         # (`"n_replications"`) and the outcome (`"precision"`)
-        "target_precision": args.target_precision,
-        "min_reps": args.min_reps,
-        "max_reps": args.max_reps,
+        "target_precision": run.target_precision,
+        "min_reps": run.min_reps,
+        "max_reps": run.max_reps,
         "cache_dir": cache_dir,
     }
     if args.json:

@@ -126,7 +126,6 @@ def batch_e15(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     bit-for-bit equal to ``simulate_e15`` on the same seeds.
     """
     from repro.distributions import Deterministic, Exponential
-    from repro.experiments.scenarios import _E15_LAM
     from repro.queueing import pseudo_conservation_rhs
 
     svc_rates = (2.0, 1.5)

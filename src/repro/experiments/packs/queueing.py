@@ -579,7 +579,6 @@ def batch_e10(seeds: Seeds, params: Params) -> list[dict[str, float]]:
         check_strong_conservation,
         performance_polytope_vertices,
     )
-    from repro.experiments.scenarios import _E10_ARRIVAL, _E10_COSTS, _e10_services
     from repro.queueing import optimal_average_cost, order_average_cost
     from repro.queueing.network import ClassConfig, QueueingNetwork, StationConfig
 
@@ -641,12 +640,6 @@ def batch_e11(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     bit-for-bit equal to ``simulate_e11`` on the same seeds.
     """
     from repro.distributions import Exponential
-    from repro.experiments.scenarios import (
-        _E11_COSTS,
-        _E11_FEEDBACK,
-        _E11_LAM,
-        _E11_MUS,
-    )
     from repro.queueing.klimov import klimov_indices, klimov_order
     from repro.queueing.mg1 import cmu_order
     from repro.queueing.network import ClassConfig, QueueingNetwork, StationConfig
@@ -816,7 +809,6 @@ def batch_e14(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     """``lockstep`` kernel for E14: drives the whole batch through the flat lockstep simulators;
     bit-for-bit equal to ``simulate_e14`` on the same seeds.
     """
-    from repro.experiments.scenarios import _e14_network
     from repro.queueing import FluidModel, fluid_drain_time
 
     horizon = float(params["horizon"])

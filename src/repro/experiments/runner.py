@@ -44,15 +44,15 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.experiments.backends import (
-    BACKENDS,
     MissingKernelError,
     resolve_backend,
     simulate_scenario_batch,
 )
+from repro.experiments.config import RunConfig
 from repro.experiments.registry import Scenario, get_scenario, is_registered
 from repro.experiments.store import SampleStore, StoreBackend
 from repro.sim.replication import map_seed_chunks
-from repro.sim.sequential import PrecisionTarget, run_sequential_replications
+from repro.sim.sequential import run_sequential_replications
 from repro.utils.rng import spawn_seed_sequences
 from repro.utils.serialization import jsonable as _jsonable
 from repro.utils.stats import summarize_rows
@@ -202,16 +202,9 @@ def _aggregate(
 def run_scenario(
     scenario: Scenario | str,
     *,
-    replications: int = 10,
-    seed: int | None = 0,
-    workers: int | None = 1,
     params: Mapping[str, Any] | None = None,
-    level: float = 0.95,
-    backend: str = "auto",
-    target_precision: PrecisionTarget | float | None = None,
-    min_reps: int | None = None,
-    max_reps: int | None = None,
     cache_dir: str | os.PathLike | StoreBackend | None = None,
+    **run: Any,
 ) -> ScenarioResult:
     """Run one scenario for a fixed or adaptively chosen replication count.
 
@@ -219,42 +212,8 @@ def run_scenario(
     ----------
     scenario:
         A :class:`~repro.experiments.registry.Scenario` or its id.
-    replications:
-        Number of independent replications (ignored when
-        ``target_precision`` is given — the controller picks ``n``).
-    seed:
-        Root seed; replication ``i`` always sees the same stream for a
-        given root seed, independent of ``workers``.
-    workers:
-        Process count for the fan-out; ``None``/0 means all cores, 1 runs
-        serially in-process.
     params:
         Overrides merged over the scenario's declared defaults.
-    level:
-        Confidence level for the per-metric intervals (and the adaptive
-        stopping rule); must lie strictly inside (0, 1).
-    backend:
-        ``"event"``, ``"vectorized"`` or ``"auto"``.  Vectorized kernels
-        are bit-for-bit equivalent to the event path (enforced by the
-        cross-backend test harness), so ``"auto"`` — use the kernel when
-        one exists — never changes results, only wall-clock time.
-        Requesting ``"vectorized"`` for a scenario without a kernel (or
-        for an ad-hoc, unregistered scenario object) raises
-        :class:`~repro.experiments.backends.MissingKernelError` naming
-        the scenario instead of silently running the event engine.
-    target_precision:
-        Switch to adaptive sequential replication: a
-        :class:`~repro.sim.sequential.PrecisionTarget`, or a bare float
-        meaning a relative half-width target for every reported metric.
-        Replications run in growing chunks until the target is met (or
-        ``max_reps`` is hit); the achieved ``n`` is recorded in
-        ``n_replications`` and the outcome in ``ScenarioResult.precision``.
-        Stopping at ``n`` yields samples bit-identical to a fixed-``n``
-        run with the same seed, for any worker count and either backend.
-    min_reps, max_reps:
-        Bounds for the adaptive controller (defaults
-        ``DEFAULT_MIN_REPS``/``DEFAULT_MAX_REPS``); only valid together
-        with ``target_precision``.
     cache_dir:
         Directory (or :class:`~repro.experiments.store.SampleStore`) of
         the content-addressed sample store.  Replications already cached
@@ -262,22 +221,20 @@ def run_scenario(
         remainder is simulated; afterwards the grown prefix is written
         back.  Requires a registered scenario and a non-``None`` seed
         (both are part of the content address).
+    **run:
+        The run settings of :class:`RunConfig` (``replications=10``,
+        ``seed=0``, ``workers=1``, ``backend="auto"``, ``level=0.95``,
+        ``target_precision``, ``min_reps``, ``max_reps``), with its
+        defaults and rules; an invalid one raises ``ValueError``.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    if not 0 < level < 1:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    if target_precision is None and (min_reps is not None or max_reps is not None):
-        raise ValueError("min_reps/max_reps are only valid with target_precision")
+    cfg = RunConfig(**run)
     sc = get_scenario(scenario) if isinstance(scenario, str) else scenario
     merged = sc.params(params)
     registered = is_registered(sc)
     if registered:
-        resolved = resolve_backend(sc.scenario_id, backend)
+        resolved = resolve_backend(sc.scenario_id, cfg.backend)
     else:
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "vectorized":
+        if cfg.backend == "vectorized":
             raise MissingKernelError(
                 f"ad-hoc scenario {sc.scenario_id!r} is not registered and "
                 f"has no vectorized kernel; request backend='event' or "
@@ -292,7 +249,7 @@ def run_scenario(
                 f"{sc.scenario_id!r} (not the registered instance) cannot be "
                 f"cached; run it without cache_dir"
             )
-        if seed is None:
+        if cfg.seed is None:
             raise ValueError(
                 "seed=None draws fresh OS entropy, so cached samples could "
                 "never be reused; pass an integer seed to use cache_dir"
@@ -307,25 +264,25 @@ def run_scenario(
     # simulate callable directly.
     payload = (sc.scenario_id, None if registered else sc.simulate, merged, resolved)
 
-    cached_rows = store.load(sc.scenario_id, merged, seed) if store else None
+    cached_rows = store.load(sc.scenario_id, merged, cfg.seed) if store else None
     cached_rows = cached_rows or []
     precision: dict[str, Any] | None = None
     # elapsed_seconds is reporting-only; it never feeds metrics or seeds
     start = time.perf_counter()  # repro-lint: disable=REP003
-    if target_precision is not None:
+    if cfg.target_precision is not None:
 
         def chunk(seed_slice: Sequence[np.random.SeedSequence]) -> list:
             return map_seed_chunks(
-                _simulate_chunk, payload, seed_slice, workers=workers
+                _simulate_chunk, payload, seed_slice, workers=cfg.workers
             )
 
         outcome = run_sequential_replications(
             chunk,
-            seed=seed,
-            target=target_precision,
-            min_reps=min_reps,
-            max_reps=max_reps,
-            level=level,
+            seed=cfg.seed,
+            target=cfg.target_precision,
+            min_reps=cfg.min_reps,
+            max_reps=cfg.max_reps,
+            level=cfg.level,
             initial_rows=cached_rows,
         )
         rows = outcome.rows
@@ -340,19 +297,19 @@ def run_scenario(
             "rounds": outcome.rounds,
         }
     else:
-        seeds = spawn_seed_sequences(seed, replications)
-        cached_used = min(len(cached_rows), replications)
+        seeds = spawn_seed_sequences(cfg.seed, cfg.replications)
+        cached_used = min(len(cached_rows), cfg.replications)
         rows = cached_rows[:cached_used]
-        if cached_used < replications:
+        if cached_used < cfg.replications:
             rows = rows + map_seed_chunks(
-                _simulate_chunk, payload, seeds[cached_used:], workers=workers
+                _simulate_chunk, payload, seeds[cached_used:], workers=cfg.workers
             )
-        achieved = replications
+        achieved = cfg.replications
     elapsed = time.perf_counter() - start  # repro-lint: disable=REP003
     if store is not None:
-        store.save(sc.scenario_id, merged, seed, rows)
+        store.save(sc.scenario_id, merged, cfg.seed, rows)
 
-    metrics, samples = _aggregate(rows, level)
+    metrics, samples = _aggregate(rows, cfg.level)
     outcomes = sc.check_outcomes({k: v.mean for k, v in metrics.items()})
     checks = {name: out.passed for name, out in outcomes.items()}
     check_errors = {
@@ -364,7 +321,7 @@ def run_scenario(
         claim=sc.claim,
         verdict=sc.verdict,
         n_replications=achieved,
-        seed=seed,
+        seed=cfg.seed,
         params=dict(merged),
         metrics=metrics,
         checks=checks,
@@ -380,22 +337,16 @@ def run_scenario(
 def run_scenarios(
     scenario_ids: Sequence[str | Scenario],
     *,
-    replications: int = 10,
-    seed: int | None = 0,
-    workers: int | None = 1,
     params: Mapping[str, Any] | Sequence[Mapping[str, Any] | None] | None = None,
-    level: float = 0.95,
-    backend: str = "auto",
-    target_precision: PrecisionTarget | float | None = None,
-    min_reps: int | None = None,
-    max_reps: int | None = None,
     cache_dir: str | os.PathLike | StoreBackend | None = None,
     progress: Callable[[ScenarioResult], None] | None = None,
+    **run: Any,
 ) -> list[ScenarioResult]:
     """Run several scenarios in sequence with a shared configuration.
 
-    Each scenario derives its replication seeds from the same root seed.
-    ``params`` comes in two forms:
+    ``**run`` takes the :class:`RunConfig` settings, shared by every
+    scenario.  Each scenario derives its replication seeds from the same
+    root seed.  ``params`` comes in two forms:
 
     * a single mapping — shared overrides, applied only where a scenario
       declares the parameter (unknown keys for a given scenario are
@@ -429,19 +380,7 @@ def run_scenarios(
         sc = get_scenario(item) if isinstance(item, str) else item
         if shared is not None:
             overrides = {k: v for k, v in shared.items() if k in sc.defaults}
-        result = run_scenario(
-            sc,
-            replications=replications,
-            seed=seed,
-            workers=workers,
-            params=overrides,
-            level=level,
-            backend=backend,
-            target_precision=target_precision,
-            min_reps=min_reps,
-            max_reps=max_reps,
-            cache_dir=cache_dir,
-        )
+        result = run_scenario(sc, params=overrides, cache_dir=cache_dir, **run)
         results.append(result)
         if progress is not None:
             progress(result)

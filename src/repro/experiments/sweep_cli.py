@@ -41,13 +41,8 @@ import sys
 from typing import Any, Sequence
 
 from repro.experiments.backends import MissingKernelError, resolve_backend
-from repro.experiments.cli import (
-    CliError,
-    _emit,
-    _literal,
-    _parse_param,
-    _validate_run_args as _validate_shared_run_args,
-)
+from repro.experiments.cli import _emit, _literal, _parse_param
+from repro.experiments.config import CliError, RunConfig, add_run_flags
 from repro.experiments.registry import get_scenario, list_scenarios, pack_info
 from repro.experiments.report import (
     canonical_sweep_document,
@@ -60,7 +55,6 @@ from repro.experiments.sweeps import (
     run_sweep,
     sweep_run_config,
 )
-from repro.sim.sequential import DEFAULT_MAX_REPS, DEFAULT_MIN_REPS
 
 __all__ = ["main", "build_parser"]
 
@@ -186,51 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only points whose axis values match (repeatable; "
         "filtering never changes a surviving point's samples)",
     )
-    run.add_argument(
-        "--replications", type=int, default=10, help="replications per point"
-    )
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes per point (0 = all cores); results are "
-        "identical for every worker count",
-    )
-    run.add_argument("--seed", type=int, default=0, help="root seed (shared "
-                     "by all points: common random numbers across the grid)")
-    run.add_argument(
-        "--backend",
-        choices=["event", "vectorized", "auto"],
-        default="auto",
-        help="simulation backend for every point (bit-for-bit equivalent; "
-        "vectorized errors if the scenario has no kernel)",
-    )
-    run.add_argument(
-        "--level", type=float, default=0.95, help="confidence level"
-    )
-    run.add_argument(
-        "--target-precision",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="adaptive mode: grow each point's replication count until "
-        "every metric's relative CI half-width is <= REL; --replications "
-        "is ignored, each point records its achieved n",
-    )
-    run.add_argument(
-        "--min-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: first evaluation point (default "
-        f"{DEFAULT_MIN_REPS}); requires --target-precision",
-    )
-    run.add_argument(
-        "--max-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: hard replication cap per point (default "
-        f"{DEFAULT_MAX_REPS}); requires --target-precision",
-    )
+    add_run_flags(run)
     run.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -292,10 +242,9 @@ def _cmd_list(scenario_id: str | None) -> int:
     return 0
 
 
-def _validate_run_args(args: argparse.Namespace) -> None:
-    """Sweep-specific flag validation on top of the shared runner-flag
-    rules (which live in :func:`repro.experiments.cli._validate_run_args`
-    so the two CLIs cannot drift)."""
+def _validate_sweep_args(args: argparse.Namespace) -> None:
+    """Sweep-specific flag validation (the run flags are checked by
+    :meth:`RunConfig.from_args`)."""
     if args.point and (args.axis or args.mode != "grid"):
         raise CliError(
             "--point gives an explicit point list; it cannot be combined "
@@ -303,7 +252,6 @@ def _validate_run_args(args: argparse.Namespace) -> None:
         )
     if not args.point and not args.axis:
         raise CliError("a sweep needs at least one --axis (or --point)")
-    _validate_shared_run_args(args)
     duplicates = {name for i, (name, _) in enumerate(args.axis)
                   if name in [n for n, _ in args.axis[:i]]}
     if duplicates:
@@ -333,10 +281,11 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _validate_run_args(args)
+    _validate_sweep_args(args)
+    run = RunConfig.from_args(args)
     spec = _build_spec(args)
     cache_dir = None if args.no_cache else args.cache_dir
-    if args.backend == "vectorized":
+    if run.backend == "vectorized":
         # fail fast, before any point burns simulation time
         try:
             resolve_backend(spec.scenario_id, "vectorized")
@@ -365,32 +314,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         sweep = run_sweep(
             spec,
-            replications=args.replications,
-            seed=args.seed,
-            workers=args.workers,
-            level=args.level,
-            backend=args.backend,
-            target_precision=args.target_precision,
-            min_reps=args.min_reps,
-            max_reps=args.max_reps,
             cache_dir=cache_dir,
             where=dict(args.where) or None,
             progress=progress,
+            **run.to_dict(),
         )
     except (MissingKernelError, KeyError, ValueError) as exc:
         raise CliError(str(exc.args[0]) if exc.args else str(exc)) from exc
 
     config = sweep_run_config(
-        replications=args.replications,
-        seed=args.seed,
-        workers=args.workers,
-        backend=args.backend,
         resolved_backends=[r.backend for r in sweep.results],
-        level=args.level,
-        target_precision=args.target_precision,
-        min_reps=args.min_reps,
-        max_reps=args.max_reps,
         cache_dir=cache_dir,
+        **run.to_dict(),
     )
     if args.json or args.markdown:
         # built once; the Markdown renderer ignores embedded samples

@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.experiments.config import RunConfig
 from repro.experiments.registry import Scenario, get_scenario
 from repro.experiments.runner import ScenarioResult, run_scenarios
-from repro.experiments.store import SampleStore, StoreBackend
-from repro.sim.sequential import PrecisionTarget
+from repro.experiments.store import StoreBackend
 from repro.utils.serialization import jsonable
 
 import repro
@@ -446,35 +446,30 @@ class SweepResult:
 def run_sweep(
     spec: SweepSpec,
     *,
-    replications: int = 10,
-    seed: int | None = 0,
-    workers: int | None = 1,
-    level: float = 0.95,
-    backend: str = "auto",
-    target_precision: PrecisionTarget | float | None = None,
-    min_reps: int | None = None,
-    max_reps: int | None = None,
     cache_dir: str | os.PathLike | StoreBackend | None = None,
     where: Mapping[str, Any] | None = None,
     progress: Callable[[SweepPoint, ScenarioResult], None] | None = None,
+    **run: Any,
 ) -> SweepResult:
     """Expand ``spec`` and run every point through the scenario runner.
 
-    All keyword arguments after ``spec`` are per-point runner
-    configuration with :func:`~repro.experiments.runner.run_scenario`
-    semantics: ``backend`` selects the simulation backend for every
-    point, ``target_precision``/``min_reps``/``max_reps`` switch each
-    point to the adaptive sequential controller (each point stops at its
-    own achieved ``n``), and ``cache_dir`` plugs in the sample store —
-    because the store keys on ``(scenario_id, params, seed)``, every
-    point addresses its own entry, so re-running a sweep against the
-    same store loads every point from cache.
+    ``**run`` takes the per-point run settings of
+    :class:`~repro.experiments.config.RunConfig`: ``backend`` selects the simulation backend for
+    every point, and ``target_precision``/``min_reps``/``max_reps``
+    switch each point to the adaptive sequential controller (each point
+    stops at its own achieved ``n``).
 
     Parameters
     ----------
     spec:
         The declarative sweep (validated and expanded before any
         simulation runs).
+    cache_dir:
+        The sample store, as for
+        :func:`~repro.experiments.runner.run_scenario`.  Because the store
+        keys on ``(scenario_id, params, seed)``, every point addresses its
+        own entry, so re-running a sweep against the same store loads
+        every point from cache.
     where:
         Optional point filter: keep only points whose axis values match
         every entry (compared after canonical JSON normalisation).
@@ -513,17 +508,10 @@ def run_sweep(
     start = time.perf_counter()  # repro-lint: disable=REP003
     results = run_scenarios(
         [p.scenario_id for p in points],
-        replications=replications,
-        seed=seed,
-        workers=workers,
         params=[p.overrides for p in points],
-        level=level,
-        backend=backend,
-        target_precision=target_precision,
-        min_reps=min_reps,
-        max_reps=max_reps,
         cache_dir=cache_dir,
         progress=per_point_callback,
+        **run,
     )
     elapsed = time.perf_counter() - start  # repro-lint: disable=REP003
     return SweepResult(
@@ -536,40 +524,31 @@ def run_sweep(
 
 
 def sweep_run_config(
-    *,
-    replications: int,
-    seed: int | None,
-    workers: int | None,
-    backend: str,
-    resolved_backends: Sequence[str],
-    level: float,
-    target_precision: float | None,
-    min_reps: int | None,
-    max_reps: int | None,
-    cache_dir: Any,
+    *, resolved_backends: Sequence[str], cache_dir: Any, **run: Any
 ) -> dict[str, Any]:
     """The ``config`` mapping embedded in a sweep document.
 
-    One shared constructor — used by the ``repro-sweep`` CLI and the
-    serving daemon (:mod:`repro.serve`) — so documents produced by both
-    paths carry an identical ``config`` block (same keys, same order) and
-    the serving layer's byte-identity contract can hold.
+    ``**run`` takes the :class:`~repro.experiments.config.RunConfig`
+    settings; the requested ``backend`` is recorded as
+    ``backend_requested``, followed by the ``resolved_backends`` that
+    actually ran.  One shared constructor — used by the ``repro-sweep``
+    CLI and the serving daemon (:mod:`repro.serve`) — so documents
+    produced by both paths carry an identical ``config`` block (same
+    keys, same order) and the serving layer's byte-identity contract can
+    hold.
     """
-    return {
-        "replications": replications,
-        "seed": seed,
-        "workers": workers,
-        "backend_requested": backend,
-        "resolved_backends": sorted(set(resolved_backends)),
-        "level": level,
-        "target_precision": target_precision,
-        "min_reps": min_reps,
-        "max_reps": max_reps,
-        "cache_dir": (
-            os.fspath(cache_dir)
-            if isinstance(cache_dir, (str, os.PathLike))
-            else None
-            if cache_dir is None
-            else type(cache_dir).__name__
-        ),
-    }
+    config: dict[str, Any] = {}
+    for name, value in RunConfig(**run).to_dict().items():
+        if name == "backend":
+            config["backend_requested"] = value
+            config["resolved_backends"] = sorted(set(resolved_backends))
+        else:
+            config[name] = value
+    config["cache_dir"] = (
+        os.fspath(cache_dir)
+        if isinstance(cache_dir, (str, os.PathLike))
+        else None
+        if cache_dir is None
+        else type(cache_dir).__name__
+    )
+    return config

@@ -29,15 +29,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.experiments.cli import CliError, _parse_param
+from repro.experiments.cli import _parse_param
+from repro.experiments.config import CliError, RunConfig, add_run_flags
 from repro.experiments.sweep_cli import _parse_axis, _parse_point
 from repro.experiments.sweeps import SWEEP_MODES, SweepSpec
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import SweepServer
-from repro.serve.jobs import RUN_DEFAULTS, SUBMIT_SCHEMA
+from repro.serve.jobs import SUBMIT_SCHEMA
 
 __all__ = ["main", "build_parser"]
 
@@ -126,52 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="fixed parameter override applied to every point (repeatable)",
     )
-    submit.add_argument(
-        "--replications",
-        type=int,
-        default=RUN_DEFAULTS["replications"],
-        help="replications per point",
-    )
-    submit.add_argument(
-        "--seed", type=int, default=RUN_DEFAULTS["seed"], help="root seed"
-    )
-    submit.add_argument(
-        "--workers",
-        type=int,
-        default=RUN_DEFAULTS["workers"],
-        help="worker processes per point on the daemon side",
-    )
-    submit.add_argument(
-        "--backend",
-        choices=["event", "vectorized", "auto"],
-        default=RUN_DEFAULTS["backend"],
-        help="simulation backend for every point",
-    )
-    submit.add_argument(
-        "--level",
-        type=float,
-        default=RUN_DEFAULTS["level"],
-        help="confidence level",
-    )
-    submit.add_argument(
-        "--target-precision",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="adaptive mode: per-point precision target",
-    )
-    submit.add_argument(
-        "--min-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: first evaluation point",
-    )
-    submit.add_argument(
-        "--max-reps",
-        type=int,
-        default=None,
-        help="adaptive mode: hard replication cap per point",
-    )
+    add_run_flags(submit)
     submit.add_argument(
         "--wait",
         action="store_true",
@@ -277,16 +234,9 @@ def _build_submission(args: argparse.Namespace) -> dict[str, Any]:
     return {
         "schema": SUBMIT_SCHEMA,
         "spec": spec.to_dict(),
-        "run": {
-            "replications": args.replications,
-            "seed": args.seed,
-            "workers": args.workers,
-            "backend": args.backend,
-            "level": args.level,
-            "target_precision": args.target_precision,
-            "min_reps": args.min_reps,
-            "max_reps": args.max_reps,
-        },
+        # sent unchecked: the daemon validates the run block and answers
+        # an invalid one with a structured error before creating a job
+        "run": {f.name: getattr(args, f.name) for f in fields(RunConfig)},
     }
 
 

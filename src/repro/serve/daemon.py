@@ -294,13 +294,13 @@ class SweepServer:
     def _enqueue(self, job: Job) -> None:
         """Queue a job's outstanding points, cheapest expected first."""
         run = job.submission.run
-        adaptive = run["target_precision"] is not None
+        adaptive = run.target_precision is not None
         for point in job.points:
             if point.index in job.results:
                 continue
             cost = self._cost.predict(
                 point.scenario_id,
-                replications=run["replications"],
+                replications=run.replications,
                 adaptive=adaptive,
             )
             # (cost, seq, index): SEPT order, ties broken by submission
@@ -348,7 +348,7 @@ class SweepServer:
         run = job.submission.run
         sc = get_scenario(point.scenario_id)
         merged = sc.params(point.overrides)
-        key = self.store.key(point.scenario_id, merged, run["seed"])
+        key = self.store.key(point.scenario_id, merged, run.seed)
         loop = asyncio.get_running_loop()
         while (fut := self._inflight.get(key)) is not None:
             await fut
@@ -359,16 +359,9 @@ class SweepServer:
                 partial(
                     run_scenario,
                     point.scenario_id,
-                    replications=run["replications"],
-                    seed=run["seed"],
-                    workers=run["workers"],
                     params=point.overrides,
-                    level=run["level"],
-                    backend=run["backend"],
-                    target_precision=run["target_precision"],
-                    min_reps=run["min_reps"],
-                    max_reps=run["max_reps"],
                     cache_dir=self.store,
+                    **run.to_dict(),
                 ),
             )
         finally:
@@ -389,7 +382,7 @@ class SweepServer:
             seconds=result.elapsed_seconds,
             achieved=(
                 result.n_replications
-                if run["target_precision"] is not None
+                if run.target_precision is not None
                 else None
             ),
         )
@@ -451,7 +444,6 @@ class SweepServer:
         same request, byte for byte.
         """
         results = tuple(job.results[p.index] for p in job.points)
-        run = job.submission.run
         sweep = SweepResult(
             spec=job.submission.spec,
             points=job.points,
@@ -460,16 +452,9 @@ class SweepServer:
             where={},
         )
         config = sweep_run_config(
-            replications=run["replications"],
-            seed=run["seed"],
-            workers=run["workers"],
-            backend=run["backend"],
             resolved_backends=[r.backend for r in results],
-            level=run["level"],
-            target_precision=run["target_precision"],
-            min_reps=run["min_reps"],
-            max_reps=run["max_reps"],
             cache_dir=self.store,
+            **job.submission.run.to_dict(),
         )
         document = canonical_sweep_document(sweep.to_document(config=config))
         return (sweep_to_json(document) + "\n").encode("utf-8")

@@ -999,11 +999,6 @@ def _polling_visit_core(
     exhausted (the caller refills ``buf`` and re-enters — the refill then
     sits at the same position of the rng stream as the event path's), and
     2 means the exhaustive visit diverged past four horizons.
-
-    Deliberately written over flat scalars and indexable numerics only:
-    :func:`repro.sim.accel.jit_or_fallback` can compile it unchanged
-    (arrays in, nopython, no fastmath) while the default interpreted path
-    feeds it plain Python lists and floats.
     """
     while h > sp and (batch < 0 or sv < batch):
         if bpos == chunk:
@@ -1041,15 +1036,12 @@ def _flat_polling_run(
     zero-length sweep jump the clock to the next arrival and record no
     cycle) is reproduced exactly.
 
-    The per-service loop lives in :func:`_polling_visit_core`; by default
-    it runs interpreted over plain Python floats and lists (arrival
-    times, the pre-drawn service buffer and the wait accumulators are
-    kept out of numpy, whose scalar indexing dominated the profile), and
-    under ``REPRO_NUMBA=1`` it is njit-compiled and fed numpy arrays
-    instead — identical IEEE arithmetic either way.
+    The per-service loop lives in :func:`_polling_visit_core`; it runs
+    over plain Python floats and lists (arrival times, the pre-drawn
+    service buffer and the wait accumulators are kept out of numpy, whose
+    scalar indexing dominated the profile).
     """
     from repro.queueing.polling import PollingResult
-    from repro.sim import accel
 
     lam = np.asarray(lam, dtype=float)
     n = lam.size
@@ -1067,27 +1059,10 @@ def _flat_polling_run(
             ts = np.concatenate([ts, ts[-1] + np.cumsum(more)])
         arrivals.append(ts)
     std_exp = rng.standard_exponential
-    core = accel.jit_or_fallback("polling_visit_core", _polling_visit_core)
-    compiled = core is not _polling_visit_core
-    if compiled:
-        try:  # warm the lazy compile; fall back if numba rejects the kernel
-            core(
-                np.array([np.inf]), 1, 0.0, 0, 0, 0, 0, 1.0, np.zeros(1), 0, 1,
-                0.0, 1.0, np.zeros(1), np.zeros(1, dtype=np.int64), 0,
-            )
-        except Exception:
-            core = _polling_visit_core
-            compiled = False
-    if compiled:
-        ts_all = arrivals
-        buf = std_exp(chunk)
-        waits = np.zeros(n)
-        served = np.zeros(n, dtype=np.int64)
-    else:
-        ts_all = [a.tolist() for a in arrivals]
-        buf = std_exp(chunk).tolist()
-        waits = [0.0] * n
-        served = [0] * n
+    ts_all = [a.tolist() for a in arrivals]
+    buf = std_exp(chunk).tolist()
+    waits = [0.0] * n
+    served = [0] * n
     sizes = [len(a) for a in ts_all]
     sw_zero = all(v == 0.0 for v in sw_values)
     admit_ptr = [0] * n  # the event path's `heads`
@@ -1123,7 +1098,7 @@ def _flat_polling_run(
             sv = 0
             scale = svc_scales[i]
             while True:
-                status, t, h, sp, sv, buf_pos = core(
+                status, t, h, sp, sv, buf_pos = _polling_visit_core(
                     ts, sz, t, h, sp, batch, sv, scale, buf, buf_pos,
                     chunk, warmup, h4, waits, served, i,
                 )
@@ -1131,7 +1106,7 @@ def _flat_polling_run(
                     break
                 if status == 2:
                     raise RuntimeError("polling simulation diverged")
-                buf = std_exp(chunk) if compiled else std_exp(chunk).tolist()
+                buf = std_exp(chunk).tolist()
                 buf_pos = 0
         admit_ptr[i] = h
         serve_ptr[i] = sp
@@ -1157,9 +1132,8 @@ def _flat_polling_run(
                 cycle_durations.append(t - cycle_start)
             cycle_start = t
             cycles += 1
-    if not compiled:
-        waits = np.array(waits)
-        served = np.array(served, dtype=np.int64)
+    waits = np.array(waits)
+    served = np.array(served, dtype=np.int64)
     mean_waits = np.where(served > 0, waits / np.maximum(served, 1), np.nan)
     rho_i = lam * np.asarray(svc_scales, dtype=float)
     weighted = float(np.nansum(rho_i * mean_waits))

@@ -10,6 +10,7 @@ fingerprint the regression gate keys its comparability on.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,22 @@ def test_make_record_schema_and_fingerprint_keys():
     assert rec["created"]  # ISO timestamp present
     assert rec["metrics"]["m.speedup"] == {"value": 1.0, "direction": "higher"}
     assert environment_fingerprint() == rec["environment"]
+
+
+def test_package_version_is_single_sourced():
+    # pyproject.toml reads its version from repro.__version__, so records
+    # and documents stamp the version the package is released under
+    from setuptools.config.expand import read_attr
+
+    from repro import __version__
+
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    attr = project["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert read_attr(attr, package_dir={"": "src"}, root_dir=root) == __version__
 
 
 def test_make_record_validates_metrics():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    RunConfig,
     Scenario,
     generate_markdown,
     get_scenario,
@@ -224,6 +225,49 @@ def test_run_scenario_rejects_invalid_level():
     for bad in (0.0, 1.0, 1.5, -0.5):
         with pytest.raises(ValueError, match="level"):
             run_scenario("E5", replications=2, seed=0, workers=1, level=bad)
+
+
+@pytest.mark.parametrize(
+    "run, field",
+    [
+        ({"replications": 0}, "replications"),
+        ({"replications": True}, "replications"),  # a bool is not an int
+        ({"replications": 2.0}, "replications"),
+        ({"workers": -1}, "workers"),
+        ({"backend": "gpu"}, "backend"),
+        ({"level": 1}, "level"),
+        ({"level": "0.9"}, "level"),
+        ({"target_precision": 0}, "target_precision"),
+        ({"target_precision": True}, "target_precision"),
+        ({"max_reps": 4}, "max_reps"),
+        ({"target_precision": 0.1, "min_reps": 1}, "min_reps"),
+        ({"target_precision": 0.1, "min_reps": 2.5}, "min_reps"),
+        # below the default min_reps (5) once the fallback applies
+        ({"target_precision": 0.1, "max_reps": 3}, "max_reps"),
+        ({"target_precision": 0.1, "min_reps": 9, "max_reps": 4}, "max_reps"),
+    ],
+)
+def test_run_config_rejects_invalid_settings(run, field):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**run)
+    # every entry point validates through RunConfig before any work
+    with pytest.raises(ValueError, match=field):
+        run_scenario("E5", **run)
+
+
+def test_api_doc_run_config_snippet_executes():
+    # the docs/API.md run-settings example must stay runnable verbatim
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "docs" / "API.md").read_text()
+    section = text.split("### Run settings (`RunConfig`)")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "API.md", "exec"), {})
+
+
+def test_run_scenario_rejects_unknown_run_keyword():
+    with pytest.raises(TypeError, match="replication"):
+        run_scenario("E5", replication=3)  # a typo is not silently dropped
 
 
 # ---------------------------------------------------------------------------
@@ -559,3 +603,8 @@ def test_cli_cache_dir_reuses_samples_and_no_cache_disables(tmp_path):
 def test_cli_zero_replications_errors(capsys):
     assert cli_main(["run", "E1", "--replications", "0"]) == 2
     assert "--replications" in capsys.readouterr().err
+
+
+def test_cli_negative_workers_errors(capsys):
+    assert cli_main(["run", "E5", "--workers", "-1"]) == 2
+    assert "--workers" in capsys.readouterr().err

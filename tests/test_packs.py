@@ -138,8 +138,8 @@ def test_register_pack_rejects_non_pack():
 
 
 def test_reimporting_a_builtin_pack_module_is_a_noop():
-    # the historical crash: importing repro.experiments.scenarios twice
-    # (or reloading a pack module) raised "already registered"
+    # the historical crash: reloading a built-in pack module and
+    # registering its pack again raised "already registered"
     from repro.experiments import register_pack
     from repro.experiments.packs import flowshop
 

@@ -142,6 +142,54 @@ def test_identical_resubmission_simulates_nothing(tmp_path):
     assert doc1 == doc2
 
 
+# Job ids are content hashes of the spec plus the normalised run block,
+# so a refactor of run-setting handling must not move them: these ids were
+# computed by the release before RunConfig existed.  Defaults spelled out
+# or left out, and any key order, give one id; an int target_precision
+# keeps its own id, distinct from the float one.
+JOB_ID_CORPUS = [
+    ({}, "job-f44cfbfbb322472e"),
+    ({"level": 0.95}, "job-f44cfbfbb322472e"),
+    ({"replications": 3}, "job-946b194a907f213c"),
+    ({"seed": 7}, "job-627ea1437d5e11d8"),
+    ({"workers": 0}, "job-8f70c382aaa13c58"),
+    ({"workers": 2}, "job-22459ff705de76d4"),
+    ({"backend": "event"}, "job-f96e0a25f301f07b"),
+    ({"backend": "vectorized"}, "job-602100d8f11fac5f"),
+    ({"level": 0.9}, "job-68508e4f1db35e35"),
+    ({"target_precision": 0.1}, "job-d9cad2967208204f"),
+    ({"target_precision": 1}, "job-4936966f2944bcf8"),
+    ({"target_precision": 1.0}, "job-ce14e2ec2a2d0ed9"),
+    ({"target_precision": 0.1, "min_reps": 6}, "job-7108227eaf03f00b"),
+    ({"target_precision": 0.1, "max_reps": 50}, "job-9728e97a112c9f07"),
+    ({"target_precision": 0.1, "min_reps": 2, "max_reps": 2}, "job-7b6d79720ec3b0e8"),
+    ({"replications": 4, "seed": 3, "level": 0.9}, "job-7145212ba49c7ad1"),
+    ({"level": 0.9, "seed": 3, "replications": 4}, "job-7145212ba49c7ad1"),
+    (
+        {"replications": 10, "seed": 0, "workers": 1, "backend": "auto",
+         "level": 0.95, "target_precision": None, "min_reps": None,
+         "max_reps": None},
+        "job-f44cfbfbb322472e",
+    ),
+    (
+        {"max_reps": None, "min_reps": None, "target_precision": None,
+         "level": 0.95, "backend": "auto", "workers": 1, "seed": 0,
+         "replications": 10},
+        "job-f44cfbfbb322472e",
+    ),
+]
+
+
+@pytest.mark.parametrize("run, job_id", JOB_ID_CORPUS)
+def test_pinned_job_ids(run, job_id):
+    sub = parse_submission(
+        {"spec": {"scenario_id": "E5", "axes": {"m": [2]}}, "run": run}
+    )
+    assert sub.job_id == job_id
+    # the wire form round-trips onto the same job
+    assert parse_submission(sub.to_dict()).job_id == job_id
+
+
 # ---------------------------------------------------------------------------
 # the determinism property
 # ---------------------------------------------------------------------------

@@ -203,6 +203,16 @@ def test_invalid_submissions_get_structured_errors(tmp_path):
               "run": {"seed": None}}, "invalid-submission"),
             ({"spec": {"scenario_id": "E5", "axes": {"m": [2]}},
               "run": {"frobnicate": 1}}, "invalid-submission"),
+            # accepted once, then every point failed mid-job
+            ({"spec": {"scenario_id": "E5", "axes": {"m": [2]}},
+              "run": {"target_precision": 0.1, "min_reps": 1}},
+             "invalid-submission"),
+            ({"spec": {"scenario_id": "E5", "axes": {"m": [2]}},
+              "run": {"target_precision": 0.1, "max_reps": 3}},
+             "invalid-submission"),
+            # a bool is not a replication count (it once got its own job id)
+            ({"spec": {"scenario_id": "E5", "axes": {"m": [2]}},
+              "run": {"replications": True}}, "invalid-submission"),
         ]
         for payload, expected_code in cases:
             with pytest.raises(ServeError) as exc_info:
