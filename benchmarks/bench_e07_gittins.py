@@ -4,8 +4,7 @@ while the joint DP state space grows exponentially.
 
 Driven by the experiment registry: each replication draws random projects,
 solves the exact product-space DP, and cross-checks the two independent
-index algorithms.  E7 has a vectorized kernel, so the replications run
-through the batched backend by default.
+index algorithms.
 """
 
 import numpy as np

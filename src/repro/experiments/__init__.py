@@ -74,7 +74,6 @@ from repro.experiments.registry import (
     list_scenarios,
     pack_info,
     register,
-    scenario,
     scenario_ids,
 )
 from repro.experiments.runner import (
@@ -105,7 +104,6 @@ from repro.sim.vectorized import has_kernel, kernel_ids
 
 __all__ = [
     "Scenario",
-    "scenario",
     "register",
     "get_scenario",
     "list_scenarios",

@@ -125,10 +125,11 @@ class ScenarioPack:
     ) -> Callable[[SimulateFn], SimulateFn]:
         """Decorator declaring one scenario of this pack.
 
-        Same signature as :func:`repro.experiments.registry.scenario`
-        plus ``schema``; the scenario is collected into the manifest and
-        reaches the global registry when the pack is registered.  Returns
-        the simulate function unchanged (so it stays picklable)."""
+        The arguments are the :class:`~repro.experiments.registry.Scenario`
+        fields plus ``schema``; the scenario is collected into the manifest
+        and reaches the global registry (:func:`register`) when the pack is
+        registered.  Returns the simulate function unchanged (so it stays
+        picklable)."""
         key = scenario_id.upper()
         if schema is None:
             schema = self._schemas.get(key)
@@ -157,9 +158,9 @@ class ScenarioPack:
         self, scenario_id: str, *, mode: str, note: str = ""
     ) -> Callable:
         """Decorator declaring the vectorized kernel for one of this
-        pack's scenarios (same contract as
-        :func:`repro.sim.vectorized.vectorized_kernel`).  Returns the
-        function unchanged."""
+        pack's scenarios (a :class:`~repro.sim.vectorized.VectorizedKernel`
+        that reaches :func:`~repro.sim.vectorized.register_kernel` when the
+        pack is registered).  Returns the function unchanged."""
         key = scenario_id.upper()
 
         def decorate(fn):

@@ -5,7 +5,8 @@ identical parallel machines with their counterexample and turnpike
 claims, HLF under in-tree precedence, Talwar's rule for the two-machine
 exponential flow shop, and threshold structure on uniform machines — the
 batch-scheduling half of the survey, with the vectorized kernels that
-batch the brute-force/DP/recurrence computations across replications.
+batch the brute-force/DP/recurrence computations across replications
+(every scenario here but E16, which runs on the event path only).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.experiments.packs._shared import _float_rows
 from repro.sim.vectorized import (
     exponential_family_st_ordered,
     flowshop_makespan_batch,
-    lockstep_intree_makespans,
     min_flowtime_over_permutations,
     sequence_flowtime_batch,
     subset_dp_batch,
@@ -903,65 +903,6 @@ def batch_e18(seeds: Seeds, params: Params) -> list[dict[str, float]]:
     bit-for-bit equal to ``simulate_e18`` on the same seeds.
     """
     return _broadcast_deterministic("E18", seeds, params)
-
-
-@PACK.kernel(
-    "E16",
-    mode="batched",
-    note="every batch of trees is simulated in lockstep (one completion "
-    "epoch per step across all replications); per-replication draws stay "
-    "on their own generators in the event path's order",
-)
-def batch_e16(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``batched`` kernel for E16: runs all replications at once on arrays with a replication axis;
-    bit-for-bit equal to ``simulate_e16`` on the same seeds.
-    """
-    from repro.batch import random_intree
-    from repro.utils.rng import crn_generators
-
-    m = int(params["m"])
-    sizes = [int(n) for n in params["sizes"]]
-    N = len(seeds)
-    main_rngs = [np.random.default_rng(ss) for ss in seeds]
-    children = [ss.spawn(len(sizes)) for ss in seeds]
-
-    columns: dict[str, np.ndarray] = {}
-    for si, n in enumerate(sizes):
-        parents = np.empty((N, n), dtype=np.int64)
-        levels = []
-        lb = np.empty(N)
-        for r in range(N):
-            seed_int = int(main_rngs[r].integers(0, 2**31 - 1))
-            tree = random_intree(n, seed_int)
-            parents[r] = tree.parent
-            lev = tree.levels()
-            levels.append(lev)
-            lb[r] = max(n / m, float(lev.max() + 1))
-        hlf_rngs, rnd_rngs, policy_rngs = [], [], []
-        for r in range(N):
-            h, w = crn_generators(children[r][si], 2)
-            hlf_rngs.append(h)
-            rnd_rngs.append(w)
-            policy_rngs.append(np.random.default_rng(children[r][si].spawn(1)[0]))
-
-        def hlf_select(r: int, ids: np.ndarray, m_: int) -> np.ndarray:
-            lev = levels[r][ids]
-            # stable argsort of -level == sorted(ids, key=(-level, id))
-            return ids[np.argsort(-lev, kind="stable")[:m_]]
-
-        def random_select(r: int, ids: np.ndarray, m_: int) -> np.ndarray:
-            k = min(m_, len(ids))
-            idx = policy_rngs[r].choice(len(ids), size=k, replace=False)
-            return ids[idx]
-
-        hlf = lockstep_intree_makespans(parents, m, 1.0, hlf_select, hlf_rngs)
-        rnd = lockstep_intree_makespans(parents, m, 1.0, random_select, rnd_rngs)
-        columns[f"hlf_ratio_n{n}"] = hlf / lb
-        columns[f"random_ratio_n{n}"] = rnd / lb
-    columns["hlf_ratio_small"] = columns[f"hlf_ratio_n{sizes[0]}"]
-    columns["hlf_ratio_large"] = columns[f"hlf_ratio_n{sizes[-1]}"]
-    columns["random_ratio_large"] = columns[f"random_ratio_n{sizes[-1]}"]
-    return _float_rows(columns, N)
 
 
 @PACK.kernel(

@@ -2,7 +2,9 @@
 
 Whittle-index near-optimality against the LP relaxation bound on growing
 homogeneous fleets, and heterogeneous fleets against the Lagrangian dual
-bound — driven by the lockstep fleet-rollout vectorized kernels.
+bound.  E8 has a lockstep fleet-rollout vectorized kernel; E19 runs on
+the event path only (its per-replication bound and Whittle-table solves
+dominate, so batching the rollouts did not pay).
 """
 
 from __future__ import annotations
@@ -13,10 +15,7 @@ import numpy as np
 
 from repro.experiments.packs import ScenarioPack
 from repro.experiments.packs._shared import _float_rows
-from repro.sim.vectorized import (
-    lockstep_heterogeneous_rollouts,
-    lockstep_restless_rollouts,
-)
+from repro.sim.vectorized import lockstep_restless_rollouts
 
 Params = Mapping[str, Any]
 Seeds = Sequence[np.random.SeedSequence]
@@ -289,73 +288,6 @@ def batch_e8(seeds: Seeds, params: Params) -> list[dict[str, float]]:
             "min_gap": gaps.min(axis=0),
             "whittle_large_n": whittle_large,
             "myopic": myop,
-        },
-        N,
-    )
-
-
-@PACK.kernel(
-    "E19",
-    mode="lockstep",
-    note="both policy rollouts advance all replications' fleets in "
-    "lockstep on stacked (reps, projects, states) arrays; the Lagrangian "
-    "bound and Whittle tables keep their exact per-replication solves "
-    "(they depend on each replication's random projects and dominate the "
-    "runtime)",
-)
-def batch_e19(seeds: Seeds, params: Params) -> list[dict[str, float]]:
-    """``lockstep`` kernel for E19: drives the whole batch through the flat lockstep simulators;
-    bit-for-bit equal to ``simulate_e19`` on the same seeds.
-    """
-    from repro.bandits import (
-        heterogeneous_relaxation_bound,
-        random_restless_project,
-    )
-    from repro.bandits.restless import whittle_indices
-
-    n_proj, n_states = int(params["n_projects"]), int(params["n_states"])
-    m = int(params["m"])
-    horizon, warmup = int(params["horizon"]), int(params["warmup"])
-    N = len(seeds)
-
-    bounds = np.empty(N)
-    shadow = np.empty(N)
-    w_tables = np.empty((N, n_proj, n_states))
-    myop_tables = np.empty((N, n_proj, n_states))
-    cum0 = np.empty((N, n_proj, n_states, n_states))
-    cum1 = np.empty((N, n_proj, n_states, n_states))
-    R0 = np.empty((N, n_proj, n_states))
-    R1 = np.empty((N, n_proj, n_states))
-    sims_w, sims_m = [], []
-    for r, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        projects = [random_restless_project(n_states, rng) for _ in range(n_proj)]
-        bounds[r], shadow[r] = heterogeneous_relaxation_bound(projects, m)
-        # heterogeneous_whittle_rule computes exactly these per-project
-        # tables; the rollout reads them as floats, like rule.index does
-        for k, p in enumerate(projects):
-            w_tables[r, k] = whittle_indices(p, criterion="average")
-            myop_tables[r, k] = p.R1 - p.R0
-            cum0[r, k] = np.cumsum(p.P0, axis=1)
-            cum1[r, k] = np.cumsum(p.P1, axis=1)
-            R0[r, k] = p.R0
-            R1[r, k] = p.R1
-        sw, sm = rng.spawn(2)
-        sims_w.append(sw)
-        sims_m.append(sm)
-
-    whittle = lockstep_heterogeneous_rollouts(
-        w_tables, cum0, cum1, R0, R1, m, horizon, sims_w, warmup=warmup
-    )
-    myopic = lockstep_heterogeneous_rollouts(
-        myop_tables, cum0, cum1, R0, R1, m, horizon, sims_m, warmup=warmup
-    )
-    return _float_rows(
-        {
-            "bound": bounds,
-            "shadow_price": shadow,
-            "whittle_frac": whittle / bounds,
-            "myopic_frac": myopic / bounds,
         },
         N,
     )

@@ -11,7 +11,7 @@ third-party pack installed under the ``repro.scenario_packs`` entry-point
 group — declares its scenarios (and optional vectorized kernels) in a
 :class:`~repro.experiments.packs.ScenarioPack` manifest that is registered
 on discovery.  Ad-hoc scenarios may also be registered directly via
-:func:`register` or the :func:`scenario` decorator.  Everything downstream
+:func:`register`.  Everything downstream
 (the replication runner, the CLIs, the report generator, the benchmarks)
 discovers experiments by id through :func:`get_scenario` /
 :func:`list_scenarios` instead of hard-coding workloads.
@@ -42,7 +42,6 @@ __all__ = [
     "Scenario",
     "CheckOutcome",
     "ParamValidationError",
-    "scenario",
     "register",
     "is_registered",
     "get_scenario",
@@ -262,42 +261,6 @@ def pack_info(scenario_id: str) -> tuple[str, str]:
     import repro
 
     return ("unpackaged", repro.__version__)
-
-
-def scenario(
-    scenario_id: str,
-    *,
-    title: str,
-    claim: str,
-    verdict: str,
-    defaults: Mapping[str, Any] | None = None,
-    checks: Mapping[str, CheckFn] | None = None,
-    tags: tuple[str, ...] = (),
-    schema: Mapping[str, Any] | None = None,
-) -> Callable[[SimulateFn], SimulateFn]:
-    """Decorator registering a simulate function as a :class:`Scenario`.
-
-    Returns the function unchanged so it stays a plain module-level callable
-    (and therefore picklable for the multiprocess runner).
-    """
-
-    def decorate(fn: SimulateFn) -> SimulateFn:
-        register(
-            Scenario(
-                scenario_id=scenario_id,
-                title=title,
-                claim=claim,
-                verdict=verdict,
-                simulate=fn,
-                defaults=dict(defaults or {}),
-                checks=dict(checks or {}),
-                tags=tuple(tags),
-                schema=dict(schema) if schema is not None else None,
-            )
-        )
-        return fn
-
-    return decorate
 
 
 _BUILTINS_LOADED = False

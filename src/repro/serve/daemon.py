@@ -35,12 +35,16 @@ neutralised.
 Restart/resume
 --------------
 With a ``spool_dir``, submissions are persisted (atomically) on accept
-and finished documents on completion.  A restarted daemon reloads both:
+and finished documents on completion; a finished document is then served
+from the spool rather than held in memory.  A restarted daemon reloads both:
 finished jobs serve their stored document, unfinished jobs re-enqueue —
 and because every completed point's samples are already in the store,
 resuming re-simulates **nothing** that finished before the crash.  A
 corrupt store entry degrades to a cache miss (the store verifies
 payloads on load), so the affected point is simply re-simulated.
+The cost-model history is saved only on a clean stop, off the serving
+path: a crash loses the history gathered since the last clean stop,
+which orders the SEPT queue but never changes a served byte.
 """
 
 from __future__ import annotations
@@ -111,8 +115,11 @@ class Job:
     ``results`` maps point index → :class:`ScenarioResult` as points
     complete (in *scheduling* order, which cost-based dispatch may
     permute freely — the finished document is assembled in point order,
-    so execution order can never leak into served bytes).  ``events`` is
-    the append-only NDJSON stream replayed to every subscriber.
+    so execution order can never leak into served bytes).  Once the
+    document is built it carries the results, so they and their samples
+    are dropped; ``simulated``/``cached`` keep the replication counts the
+    status reports.  ``events`` is the append-only NDJSON stream replayed
+    to every subscriber.
     """
 
     def __init__(
@@ -123,8 +130,13 @@ class Job:
         self.seq = seq
         self.state = "queued"
         self.results: dict[int, ScenarioResult] = {}
+        self.simulated = 0
+        self.cached = 0
         self.events: list[dict[str, Any]] = []
         self.error: str | None = None
+        #: the finished document's bytes, held only by a daemon without a
+        #: spool (or restored from one); a spooled daemon serves a job it
+        #: finished from the spool, so finished jobs do not pile up in memory
         self.document: bytes | None = None
         #: True for jobs restored from a spooled document after a restart
         #: (their per-point bookkeeping died with the old process)
@@ -142,19 +154,16 @@ class Job:
 
     def status(self) -> dict[str, Any]:
         """The JSON status document served for this job."""
-        completed = len(self.points) if self.restored else len(self.results)
-        simulated = sum(
-            r.n_replications - r.cached_replications for r in self.results.values()
-        )
-        cached = sum(r.cached_replications for r in self.results.values())
+        done = self.restored or self.state == "done"
+        completed = len(self.points) if done else len(self.results)
         return {
             "job_id": self.job_id,
             "state": self.state,
             "scenario_id": self.submission.spec.scenario_id,
             "n_points": len(self.points),
             "completed_points": completed,
-            "simulated_replications": simulated,
-            "cached_replications": cached,
+            "simulated_replications": self.simulated,
+            "cached_replications": self.cached,
             "restored": self.restored,
             "error": self.error,
         }
@@ -387,21 +396,25 @@ class SweepServer:
             ),
         )
         job.results[point.index] = result
+        job.simulated += result.n_replications - result.cached_replications
+        job.cached += result.cached_replications
         await self._notify(job, self._point_event(job, point, result))
         if len(job.results) == len(job.points):
-            job.document = self._document(job)
-            self._persist_document(job)
+            document = self._document(job)
+            all_checks_pass = all(r.all_checks_pass for r in job.results.values())
+            if self.spool_dir is None:
+                job.document = document
+            else:
+                _atomic_write(self._document_path(job.job_id), document)
             job.state = "done"
-            self._save_cost()
+            job.results.clear()
             await self._notify(
                 job,
                 {
                     "event": "done",
                     "job_id": job.job_id,
                     "n_points": len(job.points),
-                    "all_checks_pass": all(
-                        r.all_checks_pass for r in job.results.values()
-                    ),
+                    "all_checks_pass": all_checks_pass,
                 },
             )
 
@@ -476,11 +489,6 @@ class SweepServer:
             self._submission_path(job.job_id),
             canonical_json(job.submission.to_dict()).encode("utf-8"),
         )
-
-    def _persist_document(self, job: Job) -> None:
-        if self.spool_dir is None or job.document is None:
-            return
-        _atomic_write(self._document_path(job.job_id), job.document)
 
     def _save_cost(self) -> None:
         if self.spool_dir is None:
@@ -694,13 +702,23 @@ class SweepServer:
             await self._send_error(
                 writer, 409, "job-failed", job.error or "job failed"
             )
-        elif job.document is None:
+        elif job.state != "done":
             await self._send_error(
                 writer, 409, "not-finished",
                 f"job is {job.state}; stream /events or poll status",
             )
-        else:
+        elif job.document is not None:
             await self._send(writer, 200, job.document, "application/json")
+        else:
+            try:
+                document = self._document_path(job.job_id).read_bytes()
+            except OSError as exc:
+                await self._send_error(
+                    writer, 500, "document-unreadable",
+                    f"spooled document of {job.job_id}: {exc}",
+                )
+            else:
+                await self._send(writer, 200, document, "application/json")
 
     async def _stream_events(
         self, job: Job, writer: asyncio.StreamWriter

@@ -258,6 +258,8 @@ class CostModel:
         """Rebuild a model from :meth:`to_dict` output (bad fields are
         dropped rather than crashing a daemon restart)."""
         model = cls()
+        if not isinstance(obj, Mapping):
+            return model
         try:
             model._default = float(obj.get("default_seconds_per_rep", model._default))
             for name, value in dict(obj.get("seconds_per_rep") or {}).items():

@@ -27,7 +27,6 @@ from repro.sim.vectorized import (
     has_kernel,
     kernel_ids,
     register_kernel,
-    vectorized_kernel,
 )
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "SequentialOutcome",
     "run_sequential_replications",
     "VectorizedKernel",
-    "vectorized_kernel",
     "register_kernel",
     "get_kernel",
     "has_kernel",

@@ -12,19 +12,19 @@ per-replication metric dictionaries the event-driven backend returns —
 ``tests/test_backend_equivalence.py`` enforces this for every registered
 kernel.
 
-Two ingredients live here:
+Three ingredients live here:
 
-* the **kernel registry** — scenario kernels (defined in
-  :mod:`repro.experiments.backends`) register under their scenario id via
-  :func:`vectorized_kernel`; the runner and CLI discover them through
+* the **kernel registry** — scenario kernels are declared with
+  ``@PACK.kernel`` next to their scenario in a pack module under
+  :mod:`repro.experiments.packs` and reach :func:`register_kernel` when
+  the pack is registered; the runner and CLI discover them through
   :func:`has_kernel` / :func:`get_kernel`;
 * **generic batched primitives** — scenario-agnostic numerics shared by
   the kernels: batched sequence flowtimes and brute-force permutation
   minima, the batched subset DP for exponential parallel machines,
-  lockstep (all replications advance one event per step) simulators for
-  in-tree list scheduling and restless-fleet rollouts, batched
-  product-/switching-MDP assembly, batched flow-shop recurrences, and a
-  batched restart-in-state Gittins solver;
+  lockstep (all replications advance one epoch per step) restless-fleet
+  rollouts, batched switching-MDP assembly, batched flow-shop
+  recurrences, and a batched restart-in-state Gittins solver;
 * **lockstep queueing simulators** — batched replacements for the
   event-driven queueing machinery: :func:`lockstep_network_simulations`
   (a flat, specialised re-implementation of
@@ -33,10 +33,7 @@ Two ingredients live here:
   server states kept in flat per-replication storage) and
   :func:`lockstep_polling_simulations` (ditto for
   :class:`repro.queueing.polling.PollingSystem`, with the service draws
-  consumed from pre-drawn standard-exponential blocks), plus
-  :func:`lockstep_heterogeneous_rollouts` for heterogeneous restless
-  fleets, which advances every replication's fleet one epoch per step on
-  shared ``(reps, projects, states)`` arrays.
+  consumed from pre-drawn standard-exponential blocks).
 
 Bitwise-equality rules the primitives rely on (verified by the
 equivalence tests, so a platform where one failed would fail loudly):
@@ -76,7 +73,6 @@ import numpy as np
 
 __all__ = [
     "VectorizedKernel",
-    "vectorized_kernel",
     "register_kernel",
     "has_kernel",
     "get_kernel",
@@ -85,12 +81,9 @@ __all__ = [
     "sequence_flowtime_batch",
     "min_flowtime_over_permutations",
     "subset_dp_batch",
-    "lockstep_intree_makespans",
     "lockstep_restless_rollouts",
     "lockstep_network_simulations",
     "lockstep_polling_simulations",
-    "lockstep_heterogeneous_rollouts",
-    "batched_product_mdp",
     "batched_switching_mdp",
     "exponential_family_st_ordered",
     "flowshop_makespan_batch",
@@ -188,22 +181,6 @@ def register_kernel(
     _KERNELS[key] = kernel
     _KERNEL_OWNERS[key] = owner or f"module {getattr(kernel.fn, '__module__', '?')!r}"
     return kernel
-
-
-def vectorized_kernel(
-    scenario_id: str, *, mode: str, note: str = ""
-) -> Callable[[BatchSimulateFn], BatchSimulateFn]:
-    """Decorator registering a batch simulate function as the vectorized
-    kernel for ``scenario_id``.  Returns the function unchanged (so it
-    stays a plain picklable module-level callable)."""
-
-    def decorate(fn: BatchSimulateFn) -> BatchSimulateFn:
-        register_kernel(
-            VectorizedKernel(scenario_id=scenario_id, fn=fn, mode=mode, note=note)
-        )
-        return fn
-
-    return decorate
 
 
 def has_kernel(scenario_id: str) -> bool:
@@ -387,64 +364,6 @@ def subset_dp_batch(
 
 
 # ---------------------------------------------------------------------------
-# Lockstep in-tree list scheduling (E16 family)
-# ---------------------------------------------------------------------------
-
-
-def lockstep_intree_makespans(
-    parents: np.ndarray,
-    m: int,
-    rate: float,
-    select: Callable[[int, np.ndarray, int], Sequence[int]],
-    rngs: Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Simulate i.i.d. exponential(rate) in-tree batches for all
-    replications in lockstep.
-
-    ``parents`` has shape ``(N, n)`` (one in-tree per replication, -1 for
-    roots); ``select(r, available_ids, m)`` returns the ids to run for
-    replication ``r`` — ``available_ids`` is ascending, exactly the
-    ``sorted(available)`` list :func:`simulate_intree_makespan` passes its
-    policy.  Per replication the generator in ``rngs`` is consumed in the
-    identical order as the event-driven loop: one ``exponential`` and one
-    ``integers`` draw per completion epoch (any draws the policy itself
-    makes happen inside ``select``, before them).
-
-    Every epoch completes exactly one job per replication, so all
-    replications finish after exactly ``n`` epochs — which is what makes
-    the lockstep formulation exact rather than approximate.
-    """
-    parents = np.asarray(parents, dtype=np.int64)
-    N, n = parents.shape
-    if m < 1 or rate <= 0:
-        raise ValueError("need m >= 1 and rate > 0")
-    pending = np.zeros((N, n), dtype=np.int64)
-    for r in range(N):
-        counts = np.bincount(parents[r][parents[r] >= 0], minlength=n)
-        pending[r] = counts
-    avail = pending == 0
-    t = np.zeros(N)
-    for _ in range(n):
-        winners = np.empty(N, dtype=np.int64)
-        for r in range(N):
-            ids = np.flatnonzero(avail[r])
-            running = list(select(r, ids, m))
-            if not running or len(running) > m:
-                raise ValueError("policy must run between 1 and m available jobs")
-            k = len(running)
-            t[r] += rngs[r].exponential(1.0 / (rate * k))
-            winners[r] = running[int(rngs[r].integers(0, k))]
-        rows = np.arange(N)
-        avail[rows, winners] = False
-        par = parents[rows, winners]
-        has_parent = par >= 0
-        rr, pp = rows[has_parent], par[has_parent]
-        pending[rr, pp] -= 1
-        avail[rr, pp] = pending[rr, pp] == 0
-    return t
-
-
-# ---------------------------------------------------------------------------
 # Lockstep restless-fleet rollouts (E8 family)
 # ---------------------------------------------------------------------------
 
@@ -512,41 +431,8 @@ def lockstep_restless_rollouts(
 
 
 # ---------------------------------------------------------------------------
-# Batched joint-MDP assembly (E7/E9 families)
+# Batched switching-MDP assembly (E9 family)
 # ---------------------------------------------------------------------------
-
-
-def batched_product_mdp(
-    Ps: Sequence[np.ndarray], Rs: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
-    """Batched product MDP of classical bandit projects.
-
-    ``Ps[a]`` has shape ``(N, S_a, S_a)`` (replication-stacked transition
-    matrices of project ``a``) and ``Rs[a]`` shape ``(N, S_a)``.  Returns
-    ``(T, R, states)`` with ``T`` of shape ``(N, A, S, S)`` and ``R`` of
-    shape ``(N, A, S)``; slice ``r`` is entry-for-entry what
-    :func:`repro.bandits.exact.bandit_product_mdp` builds for replication
-    ``r`` (entries are single assignments of the same products, so the
-    bits match).
-    """
-    A = len(Ps)
-    sizes = [P.shape[-1] for P in Ps]
-    N = Ps[0].shape[0]
-    states = list(itertools.product(*[range(sz) for sz in sizes]))
-    index_of = {s: i for i, s in enumerate(states)}
-    S = len(states)
-    T = np.zeros((N, A, S, S))
-    R = np.zeros((N, A, S))
-    for i, s in enumerate(states):
-        for a in range(A):
-            R[:, a, i] = Rs[a][:, s[a]]
-            nxt = list(s)
-            cols = np.empty(sizes[a], dtype=np.intp)
-            for nxt_local in range(sizes[a]):
-                nxt[a] = nxt_local
-                cols[nxt_local] = index_of[tuple(nxt)]
-            T[:, a, i, cols] = Ps[a][:, s[a], :]
-    return T, R, states
 
 
 def batched_switching_mdp(
@@ -1174,75 +1060,6 @@ def lockstep_polling_simulations(
         )
         for rng in rngs
     ]
-
-
-# ---------------------------------------------------------------------------
-# Lockstep heterogeneous restless-fleet rollouts (E19 family)
-# ---------------------------------------------------------------------------
-
-
-def lockstep_heterogeneous_rollouts(
-    idx_tables: np.ndarray,
-    cum0: np.ndarray,
-    cum1: np.ndarray,
-    R0: np.ndarray,
-    R1: np.ndarray,
-    m_active: int,
-    horizon: int,
-    rngs: Sequence[np.random.Generator],
-    *,
-    warmup: int = 0,
-) -> np.ndarray:
-    """All replications of a *heterogeneous* restless-fleet rollout
-    advanced in lockstep (cf. :func:`lockstep_restless_rollouts`, whose
-    projects are i.i.d. and shared across the fleet).
-
-    Every array stacks replications on axis 0 and the fleet's projects on
-    axis 1: ``idx_tables``/``R0``/``R1`` are ``(N, K, S)`` and
-    ``cum0``/``cum1`` are the row-cumsum transition matrices ``(N, K, S,
-    S)``.  Each replication draws ``rngs[r].random(K)`` once per epoch —
-    the single draw
-    :func:`repro.bandits.heterogeneous.simulate_heterogeneous_restless`
-    makes — and the per-epoch reward is accumulated project-by-project in
-    ascending id order, exactly like the event path's scalar loop.
-    Returns the per-replication average total reward per epoch after
-    ``warmup``, shape ``(N,)``.
-    """
-    N, K, S = idx_tables.shape
-    if not 0 <= m_active <= K:
-        raise ValueError("need 0 <= m_active <= n_projects")
-    if horizon <= warmup:
-        raise ValueError("horizon must exceed warmup")
-    if len(rngs) != N:
-        raise ValueError("need one generator per replication")
-    reps = np.arange(N)[:, None]
-    projs = np.arange(K)[None, :]
-    states = np.zeros((N, K), dtype=np.int64)
-    totals = np.zeros(N)
-    u = np.empty((N, K))
-    for t in range(horizon):
-        prio = idx_tables[reps, projs, states]
-        # stable argsort == lexsort((arange, -prio)): ties to lowest id
-        order = np.argsort(-prio, axis=1, kind="stable")
-        active = np.zeros((N, K), dtype=bool)
-        np.put_along_axis(active, order[:, :m_active], True, axis=1)
-        # the event path sums rewards with `reward += ...` over ascending
-        # project ids; accumulate column-by-column to reproduce the exact
-        # float addition order for any fleet size
-        rew = np.where(active, R1[reps, projs, states], R0[reps, projs, states])
-        reward = rew[:, 0].copy()
-        for k in range(1, K):
-            reward += rew[:, k]
-        for r in range(N):
-            u[r] = rngs[r].random(K)
-        cums = np.where(
-            active[:, :, None], cum1[reps, projs, states], cum0[reps, projs, states]
-        )
-        # searchsorted(cum, u, side="right") == #{cum entries <= u}
-        states = (u[:, :, None] >= cums).sum(axis=2)
-        if t >= warmup:
-            totals += reward
-    return totals / (horizon - warmup)
 
 
 # ---------------------------------------------------------------------------

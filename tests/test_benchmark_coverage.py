@@ -1,5 +1,5 @@
 """Coverage guards: every built-in scenario must have a benchmark
-consumer *and* a vectorized kernel.
+consumer, and every vectorized kernel must hold the a04 speedup floor.
 
 The benchmarks under ``benchmarks/bench_*.py`` are the human-facing
 claim-vs-measured tables; the registry is the machine-facing catalogue.
@@ -8,17 +8,19 @@ built-in pack without a ``bench_*.py`` file that consumes it
 (``get_scenario("<id>")``) fails here, as does a benchmark referencing an
 id the registry no longer knows.
 
-The kernel-coverage guard enforces the other half of the backend
-contract: ``--backend vectorized`` hard-errors on scenarios without a
-kernel, so a scenario registered without one silently shrinks what the
-vectorized backend can run — this test fails instead, and
-``benchmarks/bench_a04_vectorized_speedup.py`` must gain a row for the
-new kernel (its BATCH table is asserted in sync with the registry).
+A vectorized kernel is a second, bit-identical implementation of a
+scenario the event path already runs, so it must earn its code by being
+faster.  The floor guard reads the newest committed full
+``a04_vectorized_speedup`` record in ``BENCH_a0x.json``: every
+registered kernel needs a recorded speedup of at least 1.5x there, and
+``benchmarks/bench_a04_vectorized_speedup.py`` must carry a row for it
+(its BATCH table is asserted in sync with the registry).  A scenario
+without a kernel is fine: ``auto`` runs it on the event path.
 
-Both requirements are scoped to *built-in* packs: an entry-point pack on
-``PYTHONPATH`` (e.g. ``examples/demo_pack``) ships its own benchmarks,
-if any, and may legitimately be event-only.  The pack-level guards at
-the bottom instead hold for every discovered pack, third-party included.
+The benchmark-consumer requirement is scoped to *built-in* packs: an
+entry-point pack on ``PYTHONPATH`` (e.g. ``examples/demo_pack``) ships
+its own benchmarks, if any.  The pack-level guards at the bottom instead
+hold for every discovered pack, third-party included.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from repro.bench import latest_record, load_trajectory
 from repro.experiments import discovered_packs, kernel_ids, pack_info, scenario_ids
 from repro.sim.vectorized import KERNEL_MODES, get_kernel
 
 BENCH_DIR = Path(__file__).parent.parent / "benchmarks"
+TRAJECTORY = Path(__file__).parent.parent / "BENCH_a0x.json"
+# the speedup a kernel must hold to keep its place (bench a04's floor)
+KERNEL_FLOOR = 1.5
 _GET_SCENARIO = re.compile(r"""get_scenario\(\s*["']([A-Za-z]+\d+)["']\s*\)""")
 
 
@@ -69,14 +75,20 @@ def test_no_benchmark_references_an_unknown_scenario():
     assert not unknown, f"benchmarks reference unregistered scenarios: {unknown}"
 
 
-def test_every_builtin_scenario_has_a_vectorized_kernel():
-    missing = sorted(set(_builtin_ids()) - set(kernel_ids()))
-    assert not missing, (
-        f"built-in scenarios without a vectorized kernel: {missing}; "
-        f"--backend vectorized would hard-error on them — add a kernel to "
-        f"the scenario's pack module under src/repro/experiments/packs/ "
-        f"(see the lockstep queueing kernels for the event-driven pattern)"
-    )
+def test_every_kernel_holds_the_a04_floor():
+    rec = latest_record(load_trajectory(TRAJECTORY), "a04_vectorized_speedup", "full")
+    assert rec is not None, "BENCH_a0x.json must keep a full a04 record"
+    for sid in kernel_ids():
+        metric = rec["metrics"].get(f"{sid}.speedup")
+        assert metric is not None, (
+            f"kernel {sid} has no speedup in the newest full a04 record; "
+            f"run bench_a04_vectorized_speedup.py with REPRO_BENCH_RECORD=1"
+        )
+        assert metric["floor"] >= KERNEL_FLOOR, (sid, metric["floor"])
+        assert metric["value"] >= metric["floor"], (
+            f"kernel {sid} measured {metric['value']:.2f}x, under its "
+            f"{metric['floor']}x floor: speed it up or delete it"
+        )
 
 
 def test_every_kernel_declares_a_known_mode_and_a_note():

@@ -481,6 +481,13 @@ def test_cli_vectorized_without_kernel_errors(capsys, monkeypatch):
         cli_main(["run", "E5", "--replications", "1", "--backend", "auto", "--quiet"])
         == 0
     )
+    # the built-in event-only scenarios are refused the same way
+    for sid in ("E7", "E16", "E19"):
+        code = cli_main(
+            ["run", sid, "--replications", "1", "--backend", "vectorized", "--quiet"]
+        )
+        assert code == 2
+        assert f"'{sid}'" in capsys.readouterr().err
 
 
 def test_cli_json_records_requested_and_resolved_backends(tmp_path):

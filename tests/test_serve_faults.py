@@ -113,9 +113,25 @@ def test_worker_crash_then_restart_resumes_without_resimulating(
         client = h2.client()
         document = client.fetch(job_id, wait=True, timeout=60)
         status = client.status(job_id)
+        # a spooled daemon serves the finished document from disk
+        assert h2.server._jobs[job_id].document is None
     assert status["state"] == "done"
     assert count_simulated["n"] - simulated_before == 2 * REPS  # not 3*REPS
     assert document == oneshot_bytes(tmp_path, axes)
+
+
+def test_missing_spooled_document_is_a_structured_error(tmp_path):
+    spool = tmp_path / "spool"
+    with ServerHarness(store=tmp_path / "store", spool_dir=spool) as h:
+        client = h.client()
+        job_id = client.submit(submission({"m": [2]}))["job_id"]
+        client.fetch(job_id, wait=True, timeout=60)
+        (spool / "docs" / f"{job_id}.json").unlink()
+        with pytest.raises(ServeError) as exc_info:
+            client.fetch(job_id)
+        assert exc_info.value.status == 500
+        assert exc_info.value.code == "document-unreadable"
+        assert client.status(job_id)["state"] == "done"
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +160,11 @@ def test_corrupt_store_entry_is_resimulated(tmp_path, count_simulated):
         job_id = client.submit(submission(axes))["job_id"]
         document = client.fetch(job_id, wait=True, timeout=60)
         status = client.status(job_id)
+        # a finished job keeps its counts but not its per-point results
+        assert not h.server._jobs[job_id].results
     # the intact entry was served from cache; the corrupt one re-simulated
     assert count_simulated["n"] - warm == REPS
+    assert status["completed_points"] == 2
     assert status["cached_replications"] == REPS
     assert status["simulated_replications"] == REPS
     # …and corruption never leaks into served bytes
